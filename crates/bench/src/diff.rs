@@ -6,13 +6,15 @@
 //! reordering and new sections:
 //!
 //! * **Correctness counters** (`cycles`, `outputs_match`, `failures`,
-//!   cache/disk miss counts, …) must match **exactly** — any drift means
-//!   the guest computed something different or the caching contract
-//!   changed, and no tolerance excuses that.
-//! * **Wall-clock metrics** (`*_seconds`, `jobs_per_sec`, speedups, hit
-//!   rates) are noisy; they fail only on a **regression** beyond the
-//!   tolerance (default 15%), judged direction-aware — slower seconds and
-//!   lower speedups regress, improvements of any size pass.
+//!   cache/disk miss counts, …) and the **modelled speedups** (`speedup`,
+//!   `geomean_speedup` — ratios of deterministic cycles) must match
+//!   **exactly** — any drift means the guest computed something different
+//!   or the caching contract changed, and no tolerance excuses that.
+//! * **Wall-clock metrics** (`*_seconds`, `jobs_per_sec`, hit rates and
+//!   ratios of wall times such as `warm_speedup`, `adaptive_gain` and
+//!   `geomean_gain`) are noisy; they fail only on a **regression** beyond
+//!   the tolerance (default 15%), judged direction-aware — slower seconds
+//!   and lower ratios regress, improvements of any size pass.
 //! * **Nondeterministic counters** (`tune_*`, `pages_skipped`) are
 //!   timing-dependent by design and are skipped entirely.
 //!
@@ -43,8 +45,9 @@ enum MetricClass {
 fn classify(key: &str) -> MetricClass {
     match key {
         "tune_parallel" | "tune_sequential" | "pages_skipped" => MetricClass::Skipped,
-        "jobs_per_sec" | "cache_hit_rate" | "speedup" | "geomean_speedup" | "warm_speedup"
-        | "adaptive_gain" => MetricClass::WallHigherIsBetter,
+        "jobs_per_sec" | "cache_hit_rate" | "warm_speedup" | "adaptive_gain" | "geomean_gain" => {
+            MetricClass::WallHigherIsBetter
+        }
         key if key.ends_with("_seconds") => MetricClass::WallLowerIsBetter,
         _ => MetricClass::Exact,
     }
@@ -256,20 +259,51 @@ mod tests {
     #[test]
     fn higher_is_better_metrics_regress_downward() {
         let base = doc(1.0, 500, true, 3);
-        // Drop the geomean speedup by 20%: that is the regression direction.
-        let slower = base.replace("\"geomean_speedup\": 1.5", "\"geomean_speedup\": 1.2");
+        // Drop the adaptive gain by 20%: that is the regression direction.
+        let slower = base.replace("\"geomean_gain\": 1.05", "\"geomean_gain\": 0.84");
         let diff = diff_bench_json(&base, &slower, DEFAULT_WALL_TOLERANCE).unwrap();
         assert!(!diff.passed());
         assert!(
-            diff.failures[0].contains("geomean_speedup"),
+            diff.failures[0].contains("geomean_gain"),
             "{:?}",
             diff.failures
         );
         // Raising it by 20% passes.
-        let faster = base.replace("\"geomean_speedup\": 1.5", "\"geomean_speedup\": 1.8");
+        let faster = base.replace("\"geomean_gain\": 1.05", "\"geomean_gain\": 1.26");
         assert!(diff_bench_json(&base, &faster, DEFAULT_WALL_TOLERANCE)
             .unwrap()
             .passed());
+    }
+
+    #[test]
+    fn wall_ratios_get_tolerance_and_modelled_speedups_are_exact() {
+        let base = doc(1.0, 500, true, 3);
+        // The adaptive gain is a ratio of wall times: this pair was seen on
+        // an unchanged tree, and neither direction may fail the gate.
+        let observed = |gain: &str| base.replace("\"geomean_gain\": 1.05", gain);
+        let (low, high) = (
+            observed("\"geomean_gain\": 0.9517"),
+            observed("\"geomean_gain\": 1.0452"),
+        );
+        for (old, new) in [(&low, &high), (&high, &low)] {
+            let diff = diff_bench_json(old, new, DEFAULT_WALL_TOLERANCE).unwrap();
+            assert!(diff.passed(), "{:?}", diff.failures);
+        }
+        // The modelled speedups are ratios of deterministic cycles: any
+        // change, even an improvement, is a correctness failure.
+        for (from, to) in [
+            ("\"speedup\": 2.0", "\"speedup\": 2.1"),
+            ("\"geomean_speedup\": 1.5", "\"geomean_speedup\": 1.4999"),
+        ] {
+            let diff =
+                diff_bench_json(&base, &base.replace(from, to), DEFAULT_WALL_TOLERANCE).unwrap();
+            assert!(!diff.passed(), "{to} must fail");
+            assert!(
+                diff.failures[0].contains("correctness counter changed"),
+                "{:?}",
+                diff.failures
+            );
+        }
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //!
 //! A process-wide default registry is available through [`global`]; layers
 //! that cannot thread a handle (the DBM hot path) meter against it, while
-//! components with a configuration surface (the serving session) accept a
-//! registry and default to the global one — so a default session's
-//! `/metrics` endpoint exposes the whole process.
+//! components that own their state (a serving session) meter into a
+//! registry of their own. A session's `/metrics` endpoint renders the
+//! global registry followed by its own.
 //!
 //! # Example
 //!
@@ -103,6 +103,12 @@ impl Gauge {
     #[inline]
     pub fn set(&self, v: i64) {
         self.value.store(v, Ordering::Relaxed);
+    }
+
+    /// Raises the gauge to `v` if it is lower (a high-water mark).
+    #[inline]
+    pub fn set_max(&self, v: i64) {
+        self.value.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Adds `n` (may be negative).
@@ -188,15 +194,6 @@ struct RegistryInner {
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     inner: Arc<RegistryInner>,
-}
-
-impl PartialEq for Registry {
-    /// Two registries are equal when they share state (clones of one
-    /// registry) — "points at the same sink", like
-    /// [`Recorder`](crate::Recorder) equality.
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
 }
 
 impl Registry {
@@ -398,9 +395,8 @@ impl Registry {
 
 /// Renders one histogram series in exposition format: cumulative
 /// `_bucket{le="..."}` lines (the `+Inf` bucket always present), `_sum`
-/// and `_count`. Shared by the registry exporter and the flight recorder's
-/// [`prometheus_text`](crate::Recorder::prometheus_text).
-pub(crate) fn render_histogram_series(
+/// and `_count`.
+fn render_histogram_series(
     out: &mut String,
     name: &str,
     labels: &[(&'static str, String)],
@@ -447,7 +443,7 @@ pub fn escape_label_value(v: &str) -> String {
 }
 
 /// Escapes a `# HELP` string: `\` → `\\`, newline → `\n`.
-pub(crate) fn escape_help(v: &str) -> String {
+fn escape_help(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {
@@ -485,8 +481,9 @@ fn render_labels_with(labels: &[(&'static str, String)], extra: (&str, &str)) ->
 }
 
 /// The process-wide default registry. Layers that cannot thread a handle
-/// (the DBM's execution hot path) meter against it; a default-configured
-/// serving session exports it, so one scrape covers the whole process.
+/// (the DBM's execution hot path) meter against it; every serving
+/// session's `/metrics` endpoint renders it ahead of the session's own
+/// registry.
 #[must_use]
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();

@@ -4,6 +4,7 @@
 //! track).
 
 use janus_obs::json::{self, Value};
+use janus_obs::metrics::Registry;
 use janus_obs::{bucket_index, bucket_upper_bound, Histogram, Recorder};
 
 // ---------------------------------------------------------------------------
@@ -130,12 +131,7 @@ fn disabled_recorder_is_inert() {
     assert!(rec.is_empty());
     assert_eq!(rec.dropped(), 0);
     assert_eq!(rec.chrome_trace().matches("\"ph\":\"X\"").count(), 0);
-    // Histograms still work detached — this is how latency stats are
-    // collected with tracing off.
-    let h = rec.histogram("latency");
-    h.record(42);
-    assert_eq!(h.latency_stats().count, 1);
-    assert!(rec.histograms().is_empty());
+    assert_eq!(rec.jsonl(), "");
 }
 
 #[test]
@@ -276,16 +272,16 @@ fn jsonl_export_is_line_delimited_json() {
 
 #[test]
 fn prometheus_export_has_cumulative_buckets() {
-    let rec = Recorder::enabled();
-    let h = rec.histogram("job.wall");
+    let registry = Registry::new();
+    let h = registry.histogram("janus_job_wall_nanos", "Job wall time.", &[]);
     for v in [1u64, 2, 3, 100, 100_000] {
         h.record(v);
     }
-    let text = rec.prometheus_text();
+    let text = registry.prometheus_text();
     assert!(text.contains("# TYPE janus_job_wall_nanos histogram"));
     assert!(text.contains("janus_job_wall_nanos_bucket{le=\"+Inf\"} 5"));
     assert!(text.contains("janus_job_wall_nanos_count 5"));
-    assert!(text.contains("janus_job_wall_nanos_max 100000"));
+    assert_eq!(h.snapshot().max, 100_000);
     // The +Inf bucket equals count and cumulative counts never decrease.
     let mut last = 0u64;
     for line in text.lines().filter(|l| l.contains("_bucket{le=")) {
@@ -296,15 +292,17 @@ fn prometheus_export_has_cumulative_buckets() {
 }
 
 #[test]
-fn recorder_prometheus_text_round_trips_through_the_parser() {
-    let rec = Recorder::enabled();
-    let h = rec.histogram("job.wall");
+fn histogram_exposition_round_trips_through_the_parser() {
+    let registry = Registry::new();
+    let h = registry.histogram("janus_job_wall_nanos", "Job wall time.", &[]);
     for v in [7u64, 9, 4096] {
         h.record(v);
     }
-    rec.histogram("queue.wait").record(123);
-    let doc = janus_obs::metrics::parse_exposition(&rec.prometheus_text())
-        .expect("recorder exposition parses");
+    registry
+        .histogram("janus_queue_wait_nanos", "Queue wait.", &[])
+        .record(123);
+    let doc = janus_obs::metrics::parse_exposition(&registry.prometheus_text())
+        .expect("registry exposition parses");
     assert!(
         doc.help.contains_key("janus_job_wall_nanos"),
         "HELP per family"
@@ -320,7 +318,6 @@ fn recorder_prometheus_text_round_trips_through_the_parser() {
         Some(3.0)
     );
     assert_eq!(doc.value("janus_queue_wait_nanos_count", &[]), Some(1.0));
-    assert_eq!(doc.value("janus_job_wall_nanos_max", &[]), Some(4096.0));
 }
 
 #[test]

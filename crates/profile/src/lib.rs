@@ -23,11 +23,10 @@ use janus_analysis::{BinaryAnalysis, LoopCategory};
 use janus_ir::{Reg, SyscallNum, INST_SIZE};
 use janus_schedule::{RewriteRule, RewriteSchedule, RuleId};
 use janus_vm::{exec_inst, Cpu, Effect, Process, ResolvedPlt, VmError};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Profile data for one loop.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LoopProfile {
     /// The loop id from the static analysis.
     pub loop_id: usize,
@@ -50,7 +49,7 @@ pub struct LoopProfile {
 }
 
 /// The result of profiling one binary on one input.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ProfileData {
     /// Total dynamic instructions executed by the program.
     pub total_instructions: u64,

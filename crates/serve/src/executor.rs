@@ -12,10 +12,11 @@ use crate::{
 };
 use janus_core::{Janus, PipelineArtifacts, PreparedDbm};
 use janus_obs::ewma::KeyedEwma;
-use janus_obs::{Histogram, Recorder};
+use janus_obs::metrics::Registry;
+use janus_obs::Recorder;
 use janus_vm::Process;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -52,14 +53,8 @@ struct TenantQueue {
     deficit: u64,
     /// Tokens granted per scheduler round ([`crate::TenantQuota::quantum`]).
     quantum: u64,
-    /// Jobs dequeued (started) for this tenant.
-    served: u64,
-    /// Completed deadline-carrying jobs that finished within budget.
-    deadline_hit: u64,
-    /// Completed deadline-carrying jobs that overran.
-    deadline_missed: u64,
-    /// The tenant's registered metric handles (deficit/pending gauges, SLO
-    /// counters), updated alongside the fields above.
+    /// The tenant's registered metric handles: its served and SLO counters,
+    /// and the deficit/pending gauges refreshed from the fields above.
     meter: Arc<TenantMeter>,
 }
 
@@ -104,25 +99,16 @@ impl QueueState {
             let head_cost = tq.queue.front().expect("non-empty queue").cost_tokens;
             if tq.deficit < head_cost {
                 tq.deficit += tq.quantum;
-                tq.meter
-                    .deficit
-                    .set(i64::try_from(tq.deficit).unwrap_or(i64::MAX));
                 self.ring.rotate_left(1);
                 continue;
             }
             tq.deficit -= head_cost;
-            tq.served += 1;
-            tq.meter
-                .deficit
-                .set(i64::try_from(tq.deficit).unwrap_or(i64::MAX));
             tq.meter.served.inc();
             let pending = tq.queue.pop_front().expect("non-empty queue");
-            tq.meter.pending.dec();
             if tq.queue.is_empty() {
                 // Leave the ring (and bank nothing): the tenant re-enters
                 // at the back on its next submission.
                 tq.deficit = 0;
-                tq.meter.deficit.set(0);
                 self.ring.pop_front();
             } else {
                 // One job per visit: rotate so equal-cost tenants
@@ -202,16 +188,8 @@ pub(crate) struct Shared {
     /// The session's flight recorder ([`ServeConfig::trace`]); disabled by
     /// default, in which case every event site costs one branch.
     trace: Recorder,
-    /// End-to-end job latency (dequeue through execution). Cached `Arc`s so
-    /// the histograms work — and `stats()` reads them — with tracing off.
-    hist_job_wall: Arc<Histogram>,
-    /// Queue wait: submission to dequeue.
-    hist_queue_wait: Arc<Histogram>,
-    /// Guest execution alone, excluding artifact resolution.
-    hist_execute: Arc<Histogram>,
-    /// Always-on metrics handles: registered once at session start against
-    /// [`ServeConfig::metrics`] (or the process-global registry), updated
-    /// with relaxed atomics alongside the session's own counters below.
+    /// The session's counts and latencies: handles into its own registry,
+    /// registered once at session start and updated with relaxed atomics.
     meter: ServeMeter,
     state: Mutex<QueueState>,
     /// Wakes workers when a job is queued (or shutdown begins).
@@ -219,15 +197,6 @@ pub(crate) struct Shared {
     /// Wakes [`ServeHandle::join`] when a job finishes.
     job_done: Condvar,
     stop: AtomicBool,
-    jobs_submitted: AtomicU64,
-    jobs_completed: AtomicU64,
-    jobs_failed: AtomicU64,
-    jobs_rejected: AtomicU64,
-    jobs_deadline_rejected: AtomicU64,
-    jobs_quota_rejected: AtomicU64,
-    jobs_deadline_hit: AtomicU64,
-    jobs_deadline_missed: AtomicU64,
-    max_in_flight_seen: AtomicU64,
 }
 
 /// One tenant's public snapshot ([`ServeHandle::tenant_stats`] and the
@@ -260,6 +229,7 @@ impl Shared {
         };
         let disk = self.cache.disk_store();
         let disk_stat = |get: fn(&ArtifactStore) -> u64| disk.map_or(0, get);
+        let meter = &self.meter;
         ServeStats {
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
@@ -271,20 +241,20 @@ impl Shared {
             disk_corrupt: disk_stat(ArtifactStore::corrupt),
             disk_evicted_bytes: disk_stat(ArtifactStore::evicted_bytes),
             disk_entries: disk.map_or(0, |s| s.entries() as u64),
-            jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
-            jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
-            jobs_failed: self.jobs_failed.load(Ordering::Relaxed),
-            jobs_rejected: self.jobs_rejected.load(Ordering::Relaxed),
-            jobs_deadline_rejected: self.jobs_deadline_rejected.load(Ordering::Relaxed),
-            jobs_quota_rejected: self.jobs_quota_rejected.load(Ordering::Relaxed),
-            jobs_deadline_hit: self.jobs_deadline_hit.load(Ordering::Relaxed),
-            jobs_deadline_missed: self.jobs_deadline_missed.load(Ordering::Relaxed),
+            jobs_submitted: meter.jobs_submitted.get(),
+            jobs_completed: meter.jobs_completed.get(),
+            jobs_failed: meter.jobs_failed.get(),
+            jobs_rejected: meter.rejected_saturated.get(),
+            jobs_deadline_rejected: meter.rejected_deadline.get(),
+            jobs_quota_rejected: meter.rejected_quota.get(),
+            jobs_deadline_hit: meter.deadline_hit.get(),
+            jobs_deadline_missed: meter.deadline_missed.get(),
             jobs_pending: pending,
             jobs_running: running,
-            max_in_flight_seen: self.max_in_flight_seen.load(Ordering::Relaxed),
-            job_wall: self.hist_job_wall.latency_stats(),
-            job_queue_wait: self.hist_queue_wait.latency_stats(),
-            job_execute: self.hist_execute.latency_stats(),
+            max_in_flight_seen: u64::try_from(meter.in_flight_max.get()).unwrap_or(0),
+            job_wall: meter.job_wall.latency_stats(),
+            job_queue_wait: meter.queue_wait.latency_stats(),
+            job_execute: meter.execute.latency_stats(),
         }
     }
 
@@ -299,9 +269,9 @@ impl Shared {
                 pending: tq.queue.len() as u64,
                 deficit: tq.deficit,
                 quantum: tq.quantum,
-                served: tq.served,
-                deadline_hit: tq.deadline_hit,
-                deadline_missed: tq.deadline_missed,
+                served: tq.meter.served.get(),
+                deadline_hit: tq.meter.deadline_hit.get(),
+                deadline_missed: tq.meter.deadline_missed.get(),
             })
             .collect();
         out.sort_by(|a, b| a.tenant.cmp(&b.tenant));
@@ -313,17 +283,17 @@ impl Shared {
     /// always sees current occupancy without the hot path ever touching a
     /// gauge it does not own.
     pub(crate) fn refresh_gauges(&self) {
-        let (pending, running) = {
-            let state = self.state.lock().expect("serve queue poisoned");
-            (state.pending_total, state.running)
-        };
         let meter = &self.meter;
         let as_i64 = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-        meter.queue_depth.set(as_i64(pending as u64));
-        meter.jobs_running.set(as_i64(running as u64));
-        meter
-            .in_flight_max
-            .set(as_i64(self.max_in_flight_seen.load(Ordering::Relaxed)));
+        {
+            let state = self.state.lock().expect("serve queue poisoned");
+            meter.queue_depth.set(as_i64(state.pending_total as u64));
+            meter.jobs_running.set(as_i64(state.running as u64));
+            for tq in state.tenants.values() {
+                tq.meter.deficit.set(as_i64(tq.deficit));
+                tq.meter.pending.set(as_i64(tq.queue.len() as u64));
+            }
+        }
         meter.cache_entries.set(as_i64(self.cache.len() as u64));
         if let Some(disk) = self.cache.disk_store() {
             meter.store_entries.set(as_i64(disk.entries() as u64));
@@ -338,9 +308,9 @@ impl Shared {
             .map_or(0, ArtifactStore::total_bytes)
     }
 
-    /// The session's metrics sink (the telemetry endpoint renders it).
-    pub(crate) fn meter(&self) -> &ServeMeter {
-        &self.meter
+    /// The session's own metrics registry.
+    pub(crate) fn registry(&self) -> &Registry {
+        &self.meter.registry
     }
 
     /// The session's flight recorder (the telemetry endpoint's `/tracez`).
@@ -396,11 +366,11 @@ impl ServeHandle {
         let trace = config.trace.clone();
         let janus = janus.with_trace(trace.clone());
         let fingerprint = config_fingerprint(&janus, &config.train_input);
-        // Metrics are always on: the configured registry, or the process
-        // global. Registration happens here, once; every event site after
-        // this is a relaxed atomic on a cached handle.
-        let registry = config.effective_metrics();
-        let meter = ServeMeter::register(&registry);
+        // Metrics are always on, in a registry of the session's own.
+        // Registration happens here, once; every event site after this is
+        // a relaxed atomic on a cached handle.
+        let meter = ServeMeter::new();
+        let registry = &meter.registry;
         let mut cache = match &config.store_dir {
             Some(dir) => {
                 let mut store = ArtifactStore::open(dir, config.store_max_bytes).map_err(|e| {
@@ -409,7 +379,7 @@ impl ServeHandle {
                     }
                 })?;
                 store.set_recorder(trace.clone());
-                store.set_meter(StoreMeter::register(&registry));
+                store.set_meter(StoreMeter::register(registry));
                 ArtifactCache::with_disk_store(
                     config.cache_capacity,
                     config.cache_shards,
@@ -419,7 +389,7 @@ impl ServeHandle {
             }
             None => ArtifactCache::with_shards(config.cache_capacity, config.cache_shards),
         };
-        cache.set_meter(CacheMeter::register(&registry));
+        cache.set_meter(CacheMeter::register(registry));
         let telemetry_addr = config.telemetry_addr.clone();
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
@@ -427,24 +397,12 @@ impl ServeHandle {
             config,
             cache,
             cost_model: CostModel::default(),
-            hist_job_wall: trace.histogram("serve.job.wall"),
-            hist_queue_wait: trace.histogram("serve.job.queue_wait"),
-            hist_execute: trace.histogram("serve.job.execute"),
             trace,
             meter,
             state: Mutex::new(QueueState::default()),
             work_ready: Condvar::new(),
             job_done: Condvar::new(),
             stop: AtomicBool::new(false),
-            jobs_submitted: AtomicU64::new(0),
-            jobs_completed: AtomicU64::new(0),
-            jobs_failed: AtomicU64::new(0),
-            jobs_rejected: AtomicU64::new(0),
-            jobs_deadline_rejected: AtomicU64::new(0),
-            jobs_quota_rejected: AtomicU64::new(0),
-            jobs_deadline_hit: AtomicU64::new(0),
-            jobs_deadline_missed: AtomicU64::new(0),
-            max_in_flight_seen: AtomicU64::new(0),
         });
         let telemetry = match telemetry_addr {
             Some(addr) => Some(
@@ -495,7 +453,6 @@ impl ServeHandle {
         let in_flight = state.pending_total + state.running;
         let limit = shared.config.effective_max_in_flight();
         if state.pending_total >= shared.config.queue_depth || in_flight >= limit {
-            shared.jobs_rejected.fetch_add(1, Ordering::Relaxed);
             shared.meter.rejected_saturated.inc();
             if shared.trace.is_enabled() {
                 shared.trace.instant(
@@ -512,7 +469,6 @@ impl ServeHandle {
         }
         let tenant_pending = state.tenants.get(&tenant_name).map_or(0, |t| t.queue.len());
         if quota.max_pending > 0 && tenant_pending >= quota.max_pending {
-            shared.jobs_quota_rejected.fetch_add(1, Ordering::Relaxed);
             shared.meter.rejected_quota.inc();
             if shared.trace.is_enabled() {
                 shared.trace.instant(
@@ -539,9 +495,6 @@ impl ServeHandle {
             let estimated_nanos = own_nanos + state.pending_est_nanos / workers;
             let budget_nanos = u64::try_from(deadline.as_nanos()).unwrap_or(u64::MAX);
             if estimated_nanos > budget_nanos {
-                shared
-                    .jobs_deadline_rejected
-                    .fetch_add(1, Ordering::Relaxed);
                 shared.meter.rejected_deadline.inc();
                 if shared.trace.is_enabled() {
                     shared.trace.instant(
@@ -573,9 +526,6 @@ impl ServeHandle {
                     queue: VecDeque::new(),
                     deficit: 0,
                     quantum: quota.quantum.max(1),
-                    served: 0,
-                    deadline_hit: 0,
-                    deadline_missed: 0,
                     meter: shared.meter.tenant(&tenant_name),
                 });
         let was_empty = tenant_queue.queue.is_empty();
@@ -586,17 +536,16 @@ impl ServeHandle {
             est_nanos,
             submitted: Instant::now(),
         });
-        tenant_queue.meter.pending.inc();
         if was_empty {
             state.ring.push_back(tenant_name);
         }
         state.pending_total += 1;
         state.pending_est_nanos += est_nanos;
-        shared.jobs_submitted.fetch_add(1, Ordering::Relaxed);
         shared.meter.jobs_submitted.inc();
         shared
-            .max_in_flight_seen
-            .fetch_max(in_flight as u64 + 1, Ordering::Relaxed);
+            .meter
+            .in_flight_max
+            .set_max(i64::try_from(in_flight + 1).unwrap_or(i64::MAX));
         drop(state);
         shared.work_ready.notify_one();
         Ok(id)
@@ -661,6 +610,15 @@ impl ServeHandle {
     #[must_use]
     pub fn telemetry_addr(&self) -> Option<std::net::SocketAddr> {
         self.telemetry.as_ref().map(TelemetryServer::local_addr)
+    }
+
+    /// The session's own metrics registry: its job, tenant, cache and store
+    /// counters, gauges and latency histograms — the values
+    /// [`stats`](ServeHandle::stats) reads. The telemetry endpoint's
+    /// `/metrics` renders the process-global registry followed by this one.
+    #[must_use]
+    pub fn metrics(&self) -> &Registry {
+        self.shared.registry()
     }
 
     /// The session's flight recorder ([`ServeConfig::trace`]) — the same
@@ -729,8 +687,7 @@ fn worker_loop(shared: &Shared, index: usize) {
         // tracing is on (the histogram backs `ServeStats`); the async span —
         // which may overlap this worker's own job span — only when it is.
         let wait_nanos = u64::try_from(submitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        shared.hist_queue_wait.record(wait_nanos);
-        shared.meter.hist_queue_wait.record(wait_nanos);
+        shared.meter.queue_wait.record(wait_nanos);
         if shared.trace.is_enabled() {
             let end = shared.trace.now_nanos();
             shared.trace.async_span(
@@ -749,24 +706,16 @@ fn worker_loop(shared: &Shared, index: usize) {
         }
         let result = run_job(shared, id, &job, sequence);
         if result.is_err() {
-            shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
             shared.meter.jobs_failed.inc();
         }
-        shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
         shared.meter.jobs_completed.inc();
         // Deadline SLO attainment, judged on the latency the submitter
         // experienced: submission through completion. Admission promised
         // nothing it could not keep; here is where the promise is audited.
         let deadline_outcome = job.deadline.map(|deadline| submitted.elapsed() <= deadline);
         match deadline_outcome {
-            Some(true) => {
-                shared.jobs_deadline_hit.fetch_add(1, Ordering::Relaxed);
-                shared.meter.deadline_hit.inc();
-            }
-            Some(false) => {
-                shared.jobs_deadline_missed.fetch_add(1, Ordering::Relaxed);
-                shared.meter.deadline_missed.inc();
-            }
+            Some(true) => shared.meter.deadline_hit.inc(),
+            Some(false) => shared.meter.deadline_missed.inc(),
             None => {}
         }
         {
@@ -774,12 +723,10 @@ fn worker_loop(shared: &Shared, index: usize) {
             state.running -= 1;
             if let Some(hit) = deadline_outcome {
                 let tenant = job.tenant.as_deref().unwrap_or(DEFAULT_TENANT);
-                if let Some(tq) = state.tenants.get_mut(tenant) {
+                if let Some(tq) = state.tenants.get(tenant) {
                     if hit {
-                        tq.deadline_hit += 1;
                         tq.meter.deadline_hit.inc();
                     } else {
-                        tq.deadline_missed += 1;
                         tq.meter.deadline_missed.inc();
                     }
                 }
@@ -863,11 +810,9 @@ fn run_job(
     }
     .map_err(ServeError::Execution)?;
     let exec_nanos = u64::try_from(exec_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    shared.hist_execute.record(exec_nanos);
-    shared.meter.hist_execute.record(exec_nanos);
+    shared.meter.execute.record(exec_nanos);
     let wall_nanos = start.elapsed().as_nanos() as u64;
-    shared.hist_job_wall.record(wall_nanos);
-    shared.meter.hist_job_wall.record(wall_nanos);
+    shared.meter.job_wall.record(wall_nanos);
     job_span.push_arg("cycles", run.cycles);
     shared.cost_model.observe(digest, wall_nanos);
     Ok(JobReport {

@@ -1,16 +1,14 @@
-//! Always-on serving metrics: cached handles into a
+//! Always-on serving metrics: cached handles into the session's own
 //! [`janus_obs::metrics::Registry`], wired through the executor, the
 //! artifact cache and the persistent store.
 //!
-//! A session meters into [`ServeConfig::metrics`](crate::ServeConfig::metrics)
-//! when one is configured and into the process-global registry otherwise,
-//! so a default session's `/metrics` endpoint covers the whole process
-//! (including the DBM's global families). Handles are registered once at
-//! session start; every event site is a relaxed atomic op on a cached
-//! `Arc` — no locks, no allocation on the hot path. Sessions sharing the
-//! global registry share counters: the exposition is a process-wide
-//! aggregate, which is what a scrape wants. Tests that need exact
-//! per-session reconciliation pass their own `Registry`.
+//! The handles are the only record of the session's counts and latencies:
+//! [`ServeStats`](crate::ServeStats), the tenant snapshots and the cache
+//! and store accessors all read them, and `/metrics` renders them. Each
+//! session owns its registry, so sessions in one process never see each
+//! other's counts. Handles are registered once at session start; every
+//! event site is a relaxed atomic op on a cached `Arc` — no locks, no
+//! allocation on the hot path.
 
 use janus_obs::metrics::{Counter, Gauge, Registry};
 use janus_obs::Histogram;
@@ -18,8 +16,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Cache-tier counters ([`ArtifactCache`](crate::ArtifactCache)). The
-/// default meter holds detached counters — a cache outside a serving
-/// session meters into nowhere at the same cost.
+/// default meter holds detached counters, so a cache outside a serving
+/// session still counts (its accessors read them) at the same cost.
 #[derive(Debug, Clone)]
 pub(crate) struct CacheMeter {
     pub hits: Arc<Counter>,
@@ -126,9 +124,9 @@ impl StoreMeter {
 /// tenant's first submission and cached in the scheduler's tenant entry.
 #[derive(Debug, Clone)]
 pub(crate) struct TenantMeter {
-    /// Current deficit-round-robin balance (tokens).
+    /// Current deficit-round-robin balance (tokens), refreshed at scrape.
     pub deficit: Arc<Gauge>,
-    /// Jobs currently queued for this tenant.
+    /// Jobs currently queued for this tenant, refreshed at scrape.
     pub pending: Arc<Gauge>,
     /// Jobs started (dequeued) for this tenant.
     pub served: Arc<Counter>,
@@ -138,8 +136,8 @@ pub(crate) struct TenantMeter {
     pub deadline_missed: Arc<Counter>,
 }
 
-/// Session-level handles plus the registry itself (the telemetry endpoint
-/// renders it) and the lazily-populated per-tenant map.
+/// Session-level handles plus the session's registry (the telemetry
+/// endpoint renders it) and the lazily-populated per-tenant map.
 pub(crate) struct ServeMeter {
     pub registry: Registry,
     pub jobs_submitted: Arc<Counter>,
@@ -156,7 +154,7 @@ pub(crate) struct ServeMeter {
     pub queue_depth: Arc<Gauge>,
     /// Jobs executing on a worker right now.
     pub jobs_running: Arc<Gauge>,
-    /// High-water mark of in-flight jobs.
+    /// High-water mark of in-flight jobs, raised at admission.
     pub in_flight_max: Arc<Gauge>,
     /// Distinct artifacts resident in the in-memory cache.
     pub cache_entries: Arc<Gauge>,
@@ -165,13 +163,13 @@ pub(crate) struct ServeMeter {
     /// Bytes occupied by the disk store's indexed entries.
     pub store_bytes: Arc<Gauge>,
     /// End-to-end job latency: dequeue through execution, nanoseconds.
-    pub hist_job_wall: Arc<Histogram>,
+    pub job_wall: Arc<Histogram>,
     /// Queue wait: submission to dequeue, nanoseconds.
-    pub hist_queue_wait: Arc<Histogram>,
+    pub queue_wait: Arc<Histogram>,
     /// Guest execution alone, nanoseconds.
-    pub hist_execute: Arc<Histogram>,
+    pub execute: Arc<Histogram>,
     /// Tenant label → registered handles. Locked only on a tenant's first
-    /// submission and at completion bookkeeping — never on the job path.
+    /// submission — never on the job path.
     tenants: Mutex<HashMap<String, Arc<TenantMeter>>>,
 }
 
@@ -184,8 +182,9 @@ impl std::fmt::Debug for ServeMeter {
 }
 
 impl ServeMeter {
-    /// Registers every session-level family in `registry`.
-    pub(crate) fn register(registry: &Registry) -> ServeMeter {
+    /// A fresh registry with every session-level family registered.
+    pub(crate) fn new() -> ServeMeter {
+        let registry = Registry::new();
         let reject = |reason: &str| {
             registry.counter(
                 "janus_serve_jobs_rejected_total",
@@ -253,24 +252,24 @@ impl ServeMeter {
                 "Bytes occupied by the disk store's indexed entries.",
                 &[],
             ),
-            hist_job_wall: registry.histogram(
+            job_wall: registry.histogram(
                 "janus_serve_job_wall_nanos",
                 "End-to-end job latency: dequeue through execution, including \
                  artifact resolution.",
                 &[],
             ),
-            hist_queue_wait: registry.histogram(
+            queue_wait: registry.histogram(
                 "janus_serve_job_queue_wait_nanos",
                 "Queue wait: submission to dequeue by a worker.",
                 &[],
             ),
-            hist_execute: registry.histogram(
+            execute: registry.histogram(
                 "janus_serve_job_execute_nanos",
                 "Guest execution alone, excluding artifact resolution.",
                 &[],
             ),
             tenants: Mutex::new(HashMap::new()),
-            registry: registry.clone(),
+            registry,
         }
     }
 

@@ -6,7 +6,7 @@
 //!
 //! | Path        | Content          | Body                                        |
 //! |-------------|------------------|---------------------------------------------|
-//! | `/metrics`  | `text/plain`     | Prometheus exposition of the session's registry (plus process self-metrics, refreshed per scrape) |
+//! | `/metrics`  | `text/plain`     | Prometheus exposition of the process-global registry (the DBM's families), then the session's own (plus process self-metrics, refreshed per scrape) |
 //! | `/healthz`  | `text/plain`     | Liveness plus a saturation verdict (`503` once shutdown begins) |
 //! | `/statusz`  | `application/json` | Snapshot of [`ServeStats`](crate::ServeStats), per-tenant queues, SLO attainment and store occupancy |
 //! | `/tracez`   | `application/json` | Chrome trace of the session's flight recorder (`404` when tracing is disabled) |
@@ -23,7 +23,7 @@
 //! loop observes it immediately.
 
 use crate::executor::Shared;
-use janus_obs::metrics::ProcessMetrics;
+use janus_obs::metrics::{self, ProcessMetrics};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -65,7 +65,7 @@ impl TelemetryServer {
             .local_addr()
             .map_err(|e| format!("local_addr: {e}"))?;
         let stop = Arc::new(AtomicBool::new(false));
-        let process = ProcessMetrics::register(&shared.meter().registry);
+        let process = ProcessMetrics::register(shared.registry());
         let thread = {
             let stop = stop.clone();
             std::thread::Builder::new()
@@ -223,16 +223,17 @@ fn route(path: &str, shared: &Shared, process: &ProcessMetrics) -> Response {
     }
 }
 
-/// `/metrics`: the Prometheus exposition of the session's registry, with
-/// the point-in-time gauges (queue depth, occupancy, process self-metrics)
-/// re-sampled first so every scrape is current.
+/// `/metrics`: the Prometheus exposition of the process-global registry
+/// (the DBM's families) followed by the session's own, with the
+/// point-in-time gauges (queue depth, occupancy, tenant accounts, process
+/// self-metrics) re-sampled first so every scrape is current.
 fn metrics_response(shared: &Shared, process: &ProcessMetrics) -> Response {
     shared.refresh_gauges();
     process.refresh();
     Response {
         status: 200,
         content_type: "text/plain; version=0.0.4; charset=utf-8",
-        body: shared.meter().registry.prometheus_text(),
+        body: metrics::global().prometheus_text() + &shared.registry().prometheus_text(),
     }
 }
 

@@ -276,7 +276,7 @@ fn traced_session_exports_a_full_stack_chrome_trace() {
         "worker tracks registered: {track_names:?}"
     );
 
-    // The same session also exports Prometheus text with the job series.
-    let prom = handle.trace().prometheus_text();
+    // The session's registry carries the same job series.
+    let prom = handle.metrics().prometheus_text();
     assert!(prom.contains("janus_serve_job_wall_nanos_count 4"));
 }

@@ -6,8 +6,8 @@
 //!
 //! * `/metrics` is a parseable Prometheus exposition whose counters
 //!   reconcile **exactly** with the session's own `ServeStats` snapshot
-//!   (the session meters into a dedicated registry so nothing else in the
-//!   process can perturb the numbers);
+//!   (every session meters into a registry of its own, so nothing else in
+//!   the process can perturb the numbers);
 //! * `/healthz` answers liveness, `/statusz` is valid JSON mirroring the
 //!   stats and per-tenant queues, `/tracez` serves the Chrome trace when
 //!   tracing is on and 404s when it is not;
@@ -17,7 +17,7 @@
 use janus_compile::{CompileOptions, Compiler};
 use janus_core::{BackendKind, Janus, JanusConfig};
 use janus_ir::JBinary;
-use janus_obs::metrics::{parse_exposition, Registry};
+use janus_obs::metrics::parse_exposition;
 use janus_serve::{JobSpec, ServeConfig, ServeSession};
 use janus_workloads::workload;
 use std::io::{Read, Write};
@@ -75,13 +75,11 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
 fn scraped_metrics_reconcile_exactly_with_serve_stats() {
     let binary = train_binary("429.mcf");
     let janus = session_janus();
-    // A dedicated registry isolates this session's families from the
-    // process-global ones (other tests, the DBM's meters), so every
-    // counter below must match ServeStats to the digit.
-    let registry = Registry::new();
+    // The session meters into a registry of its own, so nothing else in
+    // the process perturbs its families: every counter below must match
+    // ServeStats to the digit.
     let handle = janus.serve(ServeConfig {
         workers: 2,
-        metrics: Some(registry.clone()),
         telemetry_addr: Some("127.0.0.1:0".to_string()),
         trace: janus_obs::Recorder::enabled(),
         ..ServeConfig::default()
@@ -232,7 +230,6 @@ fn untraced_sessions_answer_tracez_with_404() {
     let janus = session_janus();
     let handle = janus.serve(ServeConfig {
         workers: 1,
-        metrics: Some(Registry::new()),
         telemetry_addr: Some("127.0.0.1:0".to_string()),
         ..ServeConfig::default()
     });
@@ -257,7 +254,6 @@ fn concurrent_scrapes_under_load_never_fail() {
     let janus = session_janus();
     let handle = janus.serve(ServeConfig {
         workers: 2,
-        metrics: Some(Registry::new()),
         telemetry_addr: Some("127.0.0.1:0".to_string()),
         ..ServeConfig::default()
     });
@@ -298,4 +294,46 @@ fn concurrent_scrapes_under_load_never_fail() {
         doc.value("janus_serve_jobs_completed_total", &[]),
         Some(stats.jobs_completed as f64)
     );
+}
+
+#[test]
+fn sessions_report_only_their_own_counts_and_latencies() {
+    let binary = train_binary("470.lbm");
+    let janus = session_janus();
+    // Two sessions sharing one enabled recorder: events land in one sink,
+    // but each session's counts and latency histograms stay its own.
+    let trace = janus_obs::Recorder::enabled();
+    let open = || {
+        janus.serve(ServeConfig {
+            workers: 1,
+            trace: trace.clone(),
+            ..ServeConfig::default()
+        })
+    };
+    let (three, one) = (open(), open());
+    for _ in 0..3 {
+        three.submit(JobSpec::new(binary.clone())).unwrap();
+    }
+    one.submit(JobSpec::new(binary.clone())).unwrap();
+    assert_eq!(three.join().len(), 3);
+    assert_eq!(one.join().len(), 1);
+    for (handle, jobs) in [(&three, 3), (&one, 1)] {
+        let stats = handle.stats();
+        assert_eq!(stats.jobs_completed, jobs);
+        assert_eq!(stats.job_wall.count, jobs, "job_wall");
+        assert_eq!(stats.job_execute.count, jobs, "job_execute");
+        assert_eq!(stats.job_queue_wait.count, jobs, "job_queue_wait");
+    }
+
+    // Two default sessions in one process count only their own jobs.
+    let (a, b) = (
+        janus.serve(ServeConfig::default()),
+        janus.serve(ServeConfig::default()),
+    );
+    a.submit(JobSpec::new(binary.clone())).unwrap();
+    a.submit(JobSpec::new(binary.clone())).unwrap();
+    b.submit(JobSpec::new(train_binary("429.mcf"))).unwrap();
+    let _ = (a.join(), b.join());
+    assert_eq!((a.stats().jobs_submitted, a.stats().cache_misses), (2, 1));
+    assert_eq!((b.stats().jobs_submitted, b.stats().cache_misses), (1, 1));
 }
